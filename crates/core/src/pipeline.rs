@@ -4,14 +4,8 @@
 //! every design goes through HLS and a full simulated place-and-route — so
 //! [`CongestionFlow::build_dataset_report`] fans designs out across worker
 //! threads and merges the per-design samples back **in input order**,
-//! making the parallel output bit-identical to the serial path. Two
-//! executors share the same three stage bodies: the default
-//! design-parallel executor runs one design end to end per worker
-//! ([`parkit::par_map_threads`]), and the cross-stage pipelined executor
-//! ([`CongestionFlow::with_pipeline_depth`]) gives each stage its own
-//! worker pool with bounded queues in between, overlapping HLS of design
-//! N+1 with place/route of design N and feature extraction of design N-1
-//! ([`parkit::pipeline_map`]).
+//! making the parallel output bit-identical to the serial path. Each
+//! worker runs one design end to end ([`parkit::par_map_threads`]).
 //!
 //! It is also *supervised*: each design's stages (`hls`, `par`, `features`)
 //! run under a [`faultkit::Supervisor`] that catches panics at the stage
@@ -35,8 +29,7 @@ use fpga_fabric::route::RouteStats;
 use fpga_fabric::{Device, ImplResult};
 use hls_ir::Module;
 use hls_synth::{HlsFlow, HlsOptions, SynthError, SynthesizedDesign};
-use obskit::{Collector, ObsRecord, OwnedSpan};
-use parkit::StagePools;
+use obskit::{Collector, ObsRecord};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
@@ -53,24 +46,6 @@ pub struct CheckpointConfig {
     pub resume: bool,
 }
 
-/// Cross-stage pipelined execution for dataset builds: instead of one
-/// worker owning a design end to end, per-stage worker pools overlap HLS
-/// of design N+1 with place/route of design N and feature extraction of
-/// design N-1 (see [`parkit::pipeline_map`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelineConfig {
-    /// Capacity of the bounded queues linking adjacent stages: how many
-    /// designs may sit between two stages before the upstream stage
-    /// blocks (backpressure). Clamped to at least 1.
-    pub depth: usize,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        PipelineConfig { depth: 2 }
-    }
-}
-
 /// Drives HLS + (for the training phase) simulated PAR over designs.
 #[derive(Debug, Clone)]
 pub struct CongestionFlow {
@@ -83,10 +58,6 @@ pub struct CongestionFlow {
     /// Worker threads for dataset construction. `None` (the default) uses
     /// [`parkit::num_threads`], which honours `RAYON_NUM_THREADS`.
     pub workers: Option<usize>,
-    /// Cross-stage pipelining for dataset construction. `None` (the
-    /// default) runs each design end to end on one worker; `Some` splits
-    /// the workers into per-stage pools with bounded queues in between.
-    pub pipeline: Option<PipelineConfig>,
     /// Feature-extraction kernel. Both kernels are bitwise identical;
     /// `Reference` keeps the original per-node allocation path alive for
     /// differential tests and benchmarks.
@@ -107,7 +78,6 @@ impl CongestionFlow {
             par: ParOptions::default(),
             device: Device::xc7z020(),
             workers: None,
-            pipeline: None,
             extract: ExtractKernel::default(),
             supervision: SupervisorPolicy::default(),
             fault_plan: None,
@@ -126,15 +96,6 @@ impl CongestionFlow {
     /// Set an explicit worker count for dataset construction.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
-        self
-    }
-
-    /// Enable the cross-stage pipelined executor with the given inter-stage
-    /// queue depth (clamped to at least 1).
-    pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
-        self.pipeline = Some(PipelineConfig {
-            depth: depth.max(1),
-        });
         self
     }
 
@@ -172,10 +133,10 @@ impl CongestionFlow {
     /// Digest of everything that determines a design's samples: HLS and
     /// PAR options, and the target device. Checkpoints are keyed by this,
     /// so entries from a differently-configured run are never resumed.
-    /// Worker count, pipeline config, extract kernel, fault plan, and
-    /// supervision policy are deliberately excluded — they change *how*
-    /// the answer is computed, not the answer (the extract kernels are
-    /// bitwise identical by contract, enforced by the differential tests).
+    /// Worker count, extract kernel, fault plan, and supervision policy
+    /// are deliberately excluded — they change *how* the answer is
+    /// computed, not the answer (the extract kernels are bitwise identical
+    /// by contract, enforced by the differential tests).
     pub fn config_digest(&self) -> u64 {
         let opts = format!("{:?}|{:?}|{}", self.hls, self.par, self.device.name);
         faultkit::fnv1a(&[b"congestion-flow-v1", opts.as_bytes()])
@@ -269,24 +230,8 @@ impl CongestionFlow {
             Some(Ok(s)) => Some(s),
             _ => None,
         };
-        // Two executors, one set of stage bodies: the design-parallel path
-        // runs the three stages back to back on one worker per design; the
-        // pipelined path gives each stage its own pool so designs overlap
-        // across stages. parkit guarantees both merge in input order, so
-        // the choice never changes the output.
-        let results = match self.pipeline {
-            None => {
-                parkit::par_map_threads(requested, modules, |m| self.implement_for_dataset(m, st))
-            }
-            Some(cfg) => parkit::pipeline_map(
-                Self::stage_pools(requested),
-                cfg.depth,
-                modules,
-                |m| self.stage_hls(m, st),
-                |m, flight| self.stage_par(m, flight, st),
-                |m, flight| self.stage_features(m, flight, st),
-            ),
-        };
+        let results =
+            parkit::par_map_threads(requested, modules, |m| self.implement_for_dataset(m, st));
 
         // Merge in input order — bit-identical to the serial loop. The
         // per-design obskit records merge under the same rule, so every
@@ -298,14 +243,6 @@ impl CongestionFlow {
         {
             let mut build_span = root.span("dataset_build");
             build_span.arg("designs", modules.len().to_string());
-            build_span.arg(
-                "executor",
-                if self.pipeline.is_some() {
-                    "pipelined"
-                } else {
-                    "design-parallel"
-                },
-            );
             for (ds, report, rec) in results {
                 dataset.extend(&ds);
                 designs.push(report);
@@ -339,22 +276,11 @@ impl CongestionFlow {
             .map(|c| Arc::new(CheckpointStore::open(&c.dir, self.config_digest())))
     }
 
-    /// Split `workers` across the three stage pools of the pipelined
-    /// executor, weighted by measured stage cost (place-and-route
-    /// dominates, features second, HLS a sliver). Every stage keeps at
-    /// least one worker so the pipeline can always drain.
-    fn stage_pools(workers: usize) -> StagePools {
-        let par = (workers / 2).max(1);
-        let features = (workers / 4).max(1);
-        let hls = workers.saturating_sub(par + features).max(1);
-        [hls, par, features]
-    }
-
-    /// The per-design unit of [`Self::build_dataset_report`]'s
-    /// design-parallel executor: the three supervised stages back to back
-    /// on the calling worker. The stage bodies are shared verbatim with
-    /// the pipelined executor, so the two executors are bit-identical by
-    /// construction. Never panics on a bad module — or a panicking stage.
+    /// The per-design unit of [`Self::build_dataset_report`]: checkpoint
+    /// replay, then the three supervised stages (`hls`, `par`, `features`)
+    /// back to back on the calling worker, then the verdict (checkpoint
+    /// commit and report assembly). Never panics on a bad module — or a
+    /// panicking stage.
     ///
     /// Every stage runs inside an obskit span on the design's own
     /// collector, and [`StageTimings`] is derived from those spans — one
@@ -368,14 +294,6 @@ impl CongestionFlow {
         module: &Module,
         store: Option<&CheckpointStore>,
     ) -> DesignResult {
-        let flight = self.stage_hls(module, store);
-        let flight = self.stage_par(module, flight, store);
-        self.stage_features(module, flight, store)
-    }
-
-    /// Stage 1: checkpoint replay, then supervised HLS. `InvalidIr` is
-    /// permanent; injected faults retry.
-    fn stage_hls(&self, module: &Module, store: Option<&CheckpointStore>) -> Flight {
         let obs = Collector::new();
         obs.inc("dataset.designs", 1);
 
@@ -385,7 +303,7 @@ impl CongestionFlow {
             if self.checkpoint.as_ref().is_some_and(|c| c.resume) {
                 match store.lookup(&module.name) {
                     CheckpointLookup::Hit(entry) => {
-                        return Flight::Done(Box::new(self.replay_checkpoint(module, entry, obs)));
+                        return self.replay_checkpoint(module, entry, obs);
                     }
                     CheckpointLookup::Miss => {}
                     CheckpointLookup::Corrupt(message) => {
@@ -404,118 +322,54 @@ impl CongestionFlow {
             self.fault_plan.clone(),
             &module.name,
         );
-        // The design span travels with the flight (a borrowing SpanGuard
-        // could not); it is recorded into the collector when the verdict
-        // lands, covering every stage in between.
-        let mut design_span = OwnedSpan::start("design");
+        let mut design_span = obs.span("design");
         design_span.arg("design", module.name.clone());
         let mut supervision: Vec<StageLog> = Vec::new();
 
+        // HLS: `InvalidIr` is permanent; injected faults retry.
         let mut hls_span = obs.span("hls");
         let run =
             supervisor.run_stage("hls", |_| self.synthesize(module), SynthError::is_transient);
         record_stage(&obs, &run.log);
         supervision.push(run.log);
-        match run.result {
+        let design = match run.result {
             Ok(design) => {
                 hls_span.end();
-                Flight::Flying(Box::new(InFlight {
-                    design,
-                    impl_result: None,
-                    supervisor,
-                    obs,
-                    design_span,
-                    supervision,
-                }))
+                design
             }
             Err(failure) => {
                 let failure = DesignFailure::classify("hls", failure, DesignFailure::Synth);
                 hls_span.arg("error", failure.to_string());
                 drop(hls_span);
                 design_span.arg("outcome", "failed");
-                design_span.record_into(&obs);
-                Flight::Done(Box::new(self.fail_design(
-                    module,
-                    failure,
-                    supervision,
-                    obs,
-                    store,
-                )))
+                drop(design_span);
+                return self.fail_design(module, failure, supervision, obs, store);
             }
-        }
-    }
-
-    /// Stage 2: supervised place-and-route. Infallible by type — failures
-    /// here are panics (real or injected) or budget overruns.
-    fn stage_par(
-        &self,
-        module: &Module,
-        flight: Flight,
-        store: Option<&CheckpointStore>,
-    ) -> Flight {
-        let mut fl = match flight {
-            Flight::Flying(fl) => fl,
-            done @ Flight::Done(_) => return done,
         };
-        let run = fl.supervisor.run_stage(
+
+        // Place-and-route: infallible by type — failures here are panics
+        // (real or injected) or budget overruns.
+        let run = supervisor.run_stage(
             "par",
-            |_| Ok(run_par_obs(&fl.design, &self.device, &self.par, &fl.obs)),
+            |_| Ok(run_par_obs(&design, &self.device, &self.par, &obs)),
             |_: &NoError| false,
         );
-        record_stage(&fl.obs, &run.log);
-        fl.supervision.push(run.log);
-        match run.result {
-            Ok((impl_result, _par)) => {
-                fl.impl_result = Some(impl_result);
-                Flight::Flying(fl)
-            }
+        record_stage(&obs, &run.log);
+        supervision.push(run.log);
+        let impl_result = match run.result {
+            Ok((impl_result, _par)) => impl_result,
             Err(failure) => {
                 let failure = DesignFailure::classify("par", failure, |e: NoError| match e {});
-                let InFlight {
-                    obs,
-                    mut design_span,
-                    supervision,
-                    ..
-                } = *fl;
                 design_span.arg("outcome", "failed");
-                design_span.record_into(&obs);
-                Flight::Done(Box::new(self.fail_design(
-                    module,
-                    failure,
-                    supervision,
-                    obs,
-                    store,
-                )))
+                drop(design_span);
+                return self.fail_design(module, failure, supervision, obs, store);
             }
-        }
-    }
-
-    /// Stage 3: supervised back-trace + feature extraction, then the
-    /// verdict: checkpoint commit and report assembly. The dataset is
-    /// rebuilt per attempt, so a failed attempt can't leak partial
-    /// samples.
-    fn stage_features(
-        &self,
-        module: &Module,
-        flight: Flight,
-        store: Option<&CheckpointStore>,
-    ) -> DesignResult {
-        let fl = match flight {
-            Flight::Flying(fl) => fl,
-            Flight::Done(done) => return *done,
         };
-        let InFlight {
-            design,
-            impl_result,
-            supervisor,
-            obs,
-            mut design_span,
-            mut supervision,
-        } = *fl;
-        let impl_result = impl_result.expect("stage_par runs before stage_features");
         let route_stats = impl_result.route.stats;
         let place_stats = impl_result.placement.stats;
 
+        // Back-trace + feature extraction. The dataset is rebuilt per
+        // attempt, so a failed attempt can't leak partial samples.
         let mut features_span = obs.span("features");
         let run = supervisor.run_stage(
             "features",
@@ -539,7 +393,7 @@ impl CongestionFlow {
                 features_span.arg("error", failure.to_string());
                 drop(features_span);
                 design_span.arg("outcome", "failed");
-                design_span.record_into(&obs);
+                drop(design_span);
                 return self.fail_design(module, failure, supervision, obs, store);
             }
         };
@@ -547,7 +401,7 @@ impl CongestionFlow {
         obs.inc("dataset.designs_ok", 1);
         obs.inc("dataset.samples", ds.len() as u64);
         design_span.arg("samples", ds.len().to_string());
-        design_span.record_into(&obs);
+        drop(design_span);
 
         let checkpoint_error = store.and_then(|s| {
             self.commit_checkpoint(
@@ -683,28 +537,6 @@ impl CongestionFlow {
 /// What one design contributes to a build: its samples, its report row,
 /// and its observability record.
 type DesignResult = (CongestionDataset, DesignReport, ObsRecord);
-
-/// A design mid-journey through the staged executors. Everything the next
-/// stage needs travels with the design — supervisor, collector, open
-/// design span, supervision log — so any worker of the next stage's pool
-/// can pick it up.
-struct InFlight {
-    design: SynthesizedDesign,
-    /// `None` until `stage_par` completes.
-    impl_result: Option<ImplResult>,
-    supervisor: Supervisor,
-    obs: Collector,
-    design_span: OwnedSpan,
-    supervision: Vec<StageLog>,
-}
-
-/// Inter-stage carrier: a design still flying, or one whose verdict is
-/// already known (stage failure or checkpoint replay) — later stages pass
-/// `Done` through untouched, preserving the output slot.
-enum Flight {
-    Flying(Box<InFlight>),
-    Done(Box<DesignResult>),
-}
 
 /// Fold a stage's supervision log into the design's obskit counters.
 fn record_stage(obs: &Collector, log: &StageLog) {
@@ -1157,10 +989,6 @@ const _: () = {
     // Finished records are plain data; only the live `Collector` is
     // single-threaded.
     assert_send_sync::<ObsRecord>();
-    // The pipelined executor hands flights between stage pools — they
-    // must cross threads by move (the Collector inside is Send, not Sync).
-    const fn assert_send<T: Send>() {}
-    assert_send::<Flight>();
 };
 
 #[cfg(test)]
@@ -1257,51 +1085,6 @@ mod tests {
             .build_dataset(&modules)
             .unwrap();
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn pipelined_build_matches_design_parallel_bit_for_bit() {
-        let modules = suite();
-        let base = CongestionFlow::fast()
-            .with_workers(1)
-            .build_dataset_report(&modules);
-        for workers in [1, 8] {
-            let piped = CongestionFlow::fast()
-                .with_workers(workers)
-                .with_pipeline_depth(2)
-                .build_dataset_report(&modules);
-            assert_eq!(base.dataset, piped.dataset, "workers = {workers}");
-            assert_eq!(
-                base.obs.metrics.deterministic_digest(),
-                piped.obs.metrics.deterministic_digest(),
-                "workers = {workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn pipelined_build_reports_failures_like_design_parallel() {
-        let mut modules = suite();
-        modules.insert(1, broken_module("cursed"));
-        let report = CongestionFlow::fast()
-            .with_workers(4)
-            .with_pipeline_depth(1)
-            .build_dataset_report(&modules);
-        assert_eq!(report.succeeded(), 3);
-        assert_eq!(report.failed(), 1);
-        assert_eq!(report.designs[1].name, "cursed");
-        // Failure removes one design's samples, nothing else — same
-        // contract as the design-parallel executor.
-        let clean = CongestionFlow::fast().build_dataset(&suite()).unwrap();
-        assert_eq!(report.dataset, clean);
-    }
-
-    #[test]
-    fn stage_pools_cover_every_stage() {
-        assert_eq!(CongestionFlow::stage_pools(1), [1, 1, 1]);
-        assert_eq!(CongestionFlow::stage_pools(2), [1, 1, 1]);
-        assert_eq!(CongestionFlow::stage_pools(4), [1, 2, 1]);
-        assert_eq!(CongestionFlow::stage_pools(8), [2, 4, 2]);
     }
 
     #[test]

@@ -5,22 +5,19 @@
 //! request per frame, many frames per connection. Frames are capped so a
 //! hostile (or torn) prefix cannot make the daemon allocate gigabytes.
 //!
-//! Convenience protocol: the accept loop sniffs the first bytes of each
+//! Convenience protocol: the event loop sniffs the first bytes of each
 //! connection — `POST`/`GET ` switches to a minimal HTTP/1.1 handler so
 //! `curl -d '{...}' http://addr/` works for demos and smoke tests. This is
 //! deliberately not a web server: one request per connection, only
 //! `Content-Length` bodies, JSON in, JSON out.
 //!
-//! Two front-ends share these protocols:
-//! - [`serve_tcp`] — thread-per-connection; simple, fine for a handful of
-//!   peers.
-//! - [`serve_event_loop`] — a single acceptor plus a readiness-polled
-//!   event loop over nonblocking sockets. Connections are plain state
-//!   machines (read buffer → in-order pending replies → write buffer) and
-//!   requests enter the same admission queue via the nonblocking
-//!   [`Server::submit`], so connection count is bounded by memory, not by
-//!   threads, and per-connection pipelining falls out for free. Only HTTP
-//!   stragglers get a thread (they are demo traffic by definition).
+//! The front-end, [`serve_event_loop`], is a single acceptor plus a
+//! readiness-polled event loop over nonblocking sockets. Connections are
+//! plain state machines (read buffer → in-order pending replies → write
+//! buffer) and requests enter the admission queue via the nonblocking
+//! [`Server::submit`], so connection count is bounded by memory, not by
+//! threads, and per-connection pipelining falls out for free. Only HTTP
+//! stragglers get a thread (they are demo traffic by definition).
 
 use crate::proto::{Reply, Request};
 use crate::server::Server;
@@ -73,56 +70,12 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<String>> {
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
-/// Bind `addr` and serve until the server shuts down. Returns the bound
-/// address immediately via `on_bound` (so callers can bind port 0), then
-/// blocks in the accept loop: one thread per connection, shutdown polled
-/// between accepts.
-pub fn serve_tcp(
-    server: Arc<Server>,
-    addr: &str,
-    on_bound: impl FnOnce(SocketAddr),
-) -> std::io::Result<()> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    on_bound(listener.local_addr()?);
-    let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !server.is_shutting_down() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let server = server.clone();
-                conns.push(std::thread::spawn(move || {
-                    let _ = handle_conn(&server, stream);
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => return Err(e),
-        }
-        conns.retain(|h| !h.is_finished());
-    }
-    for h in conns {
-        let _ = h.join();
-    }
-    Ok(())
-}
-
-fn handle_conn(server: &Server, stream: TcpStream) -> std::io::Result<()> {
-    // Sniff the protocol: an HTTP verb in the first bytes means a human
-    // with curl; anything else is a native length-prefixed peer.
-    let mut head = [0u8; 4];
-    let n = stream.peek(&mut head)?;
-    if n >= 4 && (&head == b"POST" || &head == b"GET ") {
-        return handle_http(server, stream);
-    }
-    handle_native(server, stream)
-}
-
 /// Bind `addr` and serve until the server shuts down, using a single
 /// acceptor plus a readiness-polled event loop over nonblocking sockets.
-/// Same wire protocols as [`serve_tcp`]; replies per connection are
-/// written in request order. Returns once shutdown is observed and every
-/// in-flight reply has been flushed.
+/// The bound address is reported via `on_bound` before the loop starts (so
+/// callers can bind port 0). Replies per connection are written in request
+/// order. Returns once shutdown is observed and every in-flight reply has
+/// been flushed.
 pub fn serve_event_loop(
     server: Arc<Server>,
     addr: &str,
@@ -164,7 +117,7 @@ pub fn serve_event_loop(
                     let conn = conns.swap_remove(i);
                     let server = server.clone();
                     http_threads.push(std::thread::spawn(move || {
-                        let _ = handle_http_prefixed(&server, conn.stream, conn.read_buf);
+                        let _ = http_handoff(&server, conn.stream, conn.read_buf);
                     }));
                     progressed = true;
                 }
@@ -333,17 +286,6 @@ impl Conn {
     }
 }
 
-fn handle_native(server: &Server, mut stream: TcpStream) -> std::io::Result<()> {
-    while let Some(json) = read_frame(&mut stream)? {
-        let reply = dispatch(server, &json);
-        write_frame(&mut stream, &reply.to_json())?;
-        if server.is_shutting_down() {
-            break;
-        }
-    }
-    Ok(())
-}
-
 /// Parse-or-reject, then run the request through the server. A frame that
 /// does not parse still gets a typed `Error` reply (id 0).
 fn dispatch(server: &Server, json: &str) -> Reply {
@@ -353,30 +295,13 @@ fn dispatch(server: &Server, json: &str) -> Reply {
     }
 }
 
-fn handle_http(server: &Server, stream: TcpStream) -> std::io::Result<()> {
-    let write_half = stream.try_clone()?;
-    http_exchange(server, BufReader::new(stream), write_half)
-}
-
 /// HTTP handoff from the event loop: `prefix` holds bytes already pulled
 /// off the (nonblocking) socket; the stream goes back to blocking mode
 /// for the thread that owns it from here on.
-fn handle_http_prefixed(
-    server: &Server,
-    stream: TcpStream,
-    prefix: Vec<u8>,
-) -> std::io::Result<()> {
+fn http_handoff(server: &Server, stream: TcpStream, prefix: Vec<u8>) -> std::io::Result<()> {
     stream.set_nonblocking(false)?;
-    let write_half = stream.try_clone()?;
-    let reader = BufReader::new(std::io::Cursor::new(prefix).chain(stream));
-    http_exchange(server, reader, write_half)
-}
-
-fn http_exchange(
-    server: &Server,
-    mut reader: impl BufRead,
-    mut stream: TcpStream,
-) -> std::io::Result<()> {
+    let mut write_half = stream.try_clone()?;
+    let mut reader = BufReader::new(std::io::Cursor::new(prefix).chain(stream));
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
     let is_get = request_line.starts_with("GET ");
@@ -418,12 +343,12 @@ fn http_exchange(
     };
     let json = reply.to_json();
     write!(
-        stream,
+        write_half,
         "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
         json.len(),
         json
     )?;
-    stream.flush()
+    write_half.flush()
 }
 
 /// Client helper: connect, send one request, read one reply.
@@ -458,7 +383,7 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         let srv = server.clone();
         std::thread::spawn(move || {
-            serve_tcp(srv, "127.0.0.1:0", move |addr| {
+            serve_event_loop(srv, "127.0.0.1:0", move |addr| {
                 let _ = tx.send(addr);
             })
             .unwrap();
@@ -506,24 +431,12 @@ mod tests {
         server.shutdown();
     }
 
-    fn spawn_event_loop(server: Arc<Server>) -> SocketAddr {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let srv = server.clone();
-        std::thread::spawn(move || {
-            serve_event_loop(srv, "127.0.0.1:0", move |addr| {
-                let _ = tx.send(addr);
-            })
-            .unwrap();
-        });
-        rx.recv().unwrap()
-    }
-
     #[test]
     fn event_loop_serves_pipelined_frames_in_order() {
         let server = started();
-        let addr = spawn_event_loop(server.clone());
+        let addr = spawn_server(server.clone());
         // Pipeline several frames on one connection without reading
-        // between writes — the threaded front-end cannot do this.
+        // between writes.
         let mut stream = TcpStream::connect(addr).unwrap();
         for id in 1..=5u64 {
             write_frame(
@@ -543,37 +456,12 @@ mod tests {
     #[test]
     fn event_loop_holds_many_idle_connections() {
         let server = started();
-        let addr = spawn_event_loop(server.clone());
+        let addr = spawn_server(server.clone());
         // Far more connections than worker threads (the server has 1).
         let idle: Vec<TcpStream> = (0..64).map(|_| TcpStream::connect(addr).unwrap()).collect();
         let reply = request(addr, &Request::predict(42, vec![vec![1.0; 4]])).unwrap();
         assert_eq!(reply.id, 42);
         drop(idle);
-        server.shutdown();
-    }
-
-    #[test]
-    fn event_loop_answers_http_and_garbage_frames() {
-        let server = started();
-        let addr = spawn_event_loop(server.clone());
-        // HTTP straggler handed off to a thread.
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let body = "{\"id\":3,\"kind\":\"status\"}";
-        write!(
-            stream,
-            "POST / HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{}",
-            body.len(),
-            body
-        )
-        .unwrap();
-        let mut resp = String::new();
-        stream.read_to_string(&mut resp).unwrap();
-        assert!(resp.starts_with("HTTP/1.1 200 OK"), "{resp}");
-        // Garbage native frame gets a typed error reply.
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write_frame(&mut stream, "not json").unwrap();
-        let r = Reply::from_json(&read_frame(&mut stream).unwrap().unwrap()).unwrap();
-        assert_eq!(r.status, ReplyStatus::Error);
         server.shutdown();
     }
 

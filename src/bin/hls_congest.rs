@@ -7,7 +7,6 @@
 //!                       [--place-kernel delta|reference]
 //! hls-congest dataset   <file.mhls>... -o data.csv [--workers N] [--router-stats]
 //!                       [--place-kernel delta|reference]
-//!                       [--pipeline-depth N]        cross-stage pipelined executor
 //!                       [--extract-kernel soa|reference]
 //!                                                   build + save a labelled dataset
 //!                                                   (parallel, fault-tolerant, timed)
@@ -28,7 +27,7 @@
 //!                       [--golden data.csv] [--mae-band PP] [--expect-features N]
 //!                       [--queue-capacity N] [--serve-workers N] [--deadline-ms MS]
 //!                       [--batch-max-rows N] [--batch-max-wait-ms MS]
-//!                       [--cache-capacity N] [--frontend event-loop|threads]
+//!                       [--cache-capacity N]
 //!                       [--journal journal.jsonl] [--fault-plan plan.json]
 //!                       [--max-retries N] [--ledger-out runs.jsonl]
 //!                                                   run congestd: the crash-only,
@@ -60,6 +59,7 @@
 
 use fpga_hls_congestion::obskit;
 use fpga_hls_congestion::prelude::*;
+use std::io::Write;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -424,18 +424,16 @@ fn serve_cmd(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let server = std::sync::Arc::new(server);
     let addr = flag(args, "--addr").unwrap_or("127.0.0.1:0");
     let model_name = server.active_model();
-    let frontend = flag(args, "--frontend").unwrap_or("event-loop");
-    let on_bound = |bound: std::net::SocketAddr| {
+    servekit::serve_event_loop(server.clone(), addr, |bound| {
         // One parseable line for scripts/CI to scrape the bound port from.
         println!("congestd listening on {bound} (model {model_name})");
-    };
-    match frontend {
-        "event-loop" => servekit::serve_event_loop(server.clone(), addr, on_bound)?,
-        "threads" => servekit::serve_tcp(server.clone(), addr, on_bound)?,
-        other => return Err(format!("--frontend {other}: expected event-loop or threads").into()),
-    }
+    })?;
     let summary = server.shutdown();
-    println!(
+    // The summary is best-effort: a supervisor that stopped reading stdout
+    // must not cost the metrics snapshot below.
+    let mut out = std::io::stdout().lock();
+    let printed = writeln!(
+        out,
         "served {} requests ({} shed, {} degraded, {} deadline-missed, {} errors); swaps {}, rejects {}, rollbacks {}; model {}",
         summary.metrics.completed,
         summary.metrics.shed,
@@ -446,17 +444,25 @@ fn serve_cmd(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         summary.rejects,
         summary.rollbacks,
         summary.model,
-    );
-    println!(
-        "coalescing: {} batches ({} requests, {} rows); cache: {} hits / {} lookups ({} evicted, {} invalidated)",
+    )
+    .and_then(|()| {
+        writeln!(
+            out,
+            "coalescing: {} batches ({} requests, {} rows); cache: {} hits / {} lookups ({} evicted, {} invalidated)",
         summary.metrics.batches,
         summary.metrics.coalesced,
         summary.metrics.batch_rows,
         summary.cache.hits,
         summary.cache.lookups,
         summary.cache.evictions,
-        summary.cache.invalidations,
-    );
+            summary.cache.invalidations,
+        )
+    });
+    drop(out);
+    match printed {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => return Err(e.into()),
+        _ => {}
+    }
     if let Some(path) = flag(args, "--metrics-out") {
         let meta = [
             ("tool", "congestd"),
@@ -542,9 +548,6 @@ fn dataset_cmd(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
     if let Some(w) = flag(args, "--workers") {
         flow = flow.with_workers(w.parse()?);
-    }
-    if let Some(d) = flag(args, "--pipeline-depth") {
-        flow = flow.with_pipeline_depth(d.parse()?);
     }
     if let Some(k) = flag(args, "--extract-kernel") {
         let kernel = congestion_core::features::ExtractKernel::parse(k)

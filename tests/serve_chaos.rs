@@ -28,6 +28,7 @@ use fpga_hls_congestion::servekit::{
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
+use std::process::{Child, ChildStdout};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -194,7 +195,10 @@ fn corrupt_artifact_swap_is_rejected_and_rolls_back_visibly() {
 }
 
 /// Spawn the real `congestd` binary and return (child, bound address).
-fn spawn_congestd(args: &[String]) -> (std::process::Child, String) {
+/// Start `hls_congest serve` with stdout piped and read up to its
+/// "listening on" line. Returns the child, the bound address, and the
+/// still-open read end of its stdout.
+fn start_congestd(args: &[String]) -> (Child, String, BufReader<ChildStdout>) {
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_hls_congest"))
         .arg("serve")
         .args(args)
@@ -214,6 +218,11 @@ fn spawn_congestd(args: &[String]) -> (std::process::Child, String) {
         line.clear();
     }
     assert!(!addr.is_empty(), "congestd never reported a bound address");
+    (child, addr, reader)
+}
+
+fn spawn_congestd(args: &[String]) -> (Child, String) {
+    let (child, addr, mut reader) = start_congestd(args);
     // Keep draining stdout so the child never blocks on a full pipe.
     std::thread::spawn(move || {
         let mut sink = String::new();
@@ -463,8 +472,6 @@ fn sigkill_mid_coalesced_batch_reports_the_whole_batch_lost() {
         journal.display().to_string(),
         "--expect-features".to_string(),
         "4".to_string(),
-        "--frontend".to_string(),
-        "event-loop".to_string(),
         "--batch-max-rows".to_string(),
         "1024".to_string(),
         "--batch-max-wait-ms".to_string(),
@@ -555,6 +562,42 @@ fn sigkill_mid_coalesced_batch_reports_the_whole_batch_lost() {
     assert!(
         seqs.windows(2).all(|w| w[0] < w[1]),
         "seqs must increase: {seqs:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn closed_stdout_does_not_cost_the_metrics_snapshot() {
+    // A supervisor that stops reading congestd's stdout must not make the
+    // shutdown summary panic before `--metrics-out` is written.
+    let dir = tmp("epipe");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let metrics = dir.join("metrics.json");
+    let args = vec![
+        "--addr".to_string(),
+        "127.0.0.1:0".to_string(),
+        "--metrics-out".to_string(),
+        metrics.display().to_string(),
+    ];
+    let (mut child, addr, stdout) = start_congestd(&args);
+    drop(stdout);
+    let reply = fpga_hls_congestion::servekit::request(
+        &addr,
+        &Request {
+            id: 1,
+            deadline_ms: None,
+            body: RequestBody::Shutdown,
+        },
+    )
+    .expect("shutdown over tcp");
+    assert_eq!(reply.status, ReplyStatus::Ok);
+    let status = child.wait().unwrap();
+    assert!(status.success(), "congestd exited with {status:?}");
+    let text = std::fs::read_to_string(&metrics).unwrap_or_default();
+    assert!(
+        text.contains("serve."),
+        "metrics snapshot missing or empty: {text:?}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -20,15 +20,14 @@
 //!   from features extracted before the most recent model swap, under
 //!   arbitrary source/swap interleavings, and the `serve.cache.*`
 //!   accounting always balances (`hits + misses == lookups`).
-//! * **Front-ends are interchangeable** — the readiness-polled event loop
-//!   and the thread-per-connection front-end produce bitwise-identical
-//!   reply frames for the same pipelined request stream.
+//! * **The front-end is transparent** — the readiness-polled event loop
+//!   produces reply frames bitwise identical to in-process
+//!   [`Server::call`] replies for the same pipelined request stream.
 
 use fpga_hls_congestion::mlkit::CompiledEnsemble;
 use fpga_hls_congestion::servekit::{
-    coalesce_plan, read_frame, serve_event_loop, serve_tcp, shed_plan, write_frame, ModelArtifact,
-    Reply, ReplyStatus, Request, RequestBody, ServeConfig, Server, SourceExtractor, TraceStep,
-    WorkGate,
+    coalesce_plan, read_frame, serve_event_loop, shed_plan, write_frame, ModelArtifact, Reply,
+    ReplyStatus, Request, RequestBody, ServeConfig, Server, SourceExtractor, TraceStep, WorkGate,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -356,11 +355,11 @@ fn roundtrip(addr: std::net::SocketAddr, frames: &[String]) -> Vec<Reply> {
 }
 
 #[test]
-fn event_loop_and_threaded_frontends_serve_identical_reply_frames() {
+fn event_loop_reply_frames_match_in_process_calls() {
     let reqs = fixed_request_set(12);
     let frames: Vec<String> = reqs.iter().map(Request::to_json).collect();
-    let mut per_frontend: Vec<Vec<_>> = Vec::new();
-    for use_event_loop in [false, true] {
+    let mut per_path: Vec<Vec<_>> = Vec::new();
+    for over_the_wire in [false, true] {
         let mut cfg = ServeConfig {
             queue_capacity: 64,
             workers: 2,
@@ -369,30 +368,33 @@ fn event_loop_and_threaded_frontends_serve_identical_reply_frames() {
         cfg.gate.expected_features = FEATURES;
         let (server, _) = Server::start(cfg, Some(artifact(1)), None).expect("start");
         let server = Arc::new(server);
-        let (tx, rx) = mpsc::channel();
-        let net = {
-            let server = server.clone();
-            std::thread::spawn(move || {
-                let serve = if use_event_loop {
-                    serve_event_loop
-                } else {
-                    serve_tcp
-                };
-                serve(server, "127.0.0.1:0", move |a| tx.send(a).unwrap()).expect("serve");
-            })
+        let replies = if over_the_wire {
+            let (tx, rx) = mpsc::channel();
+            let net = {
+                let server = server.clone();
+                std::thread::spawn(move || {
+                    serve_event_loop(server, "127.0.0.1:0", move |a| tx.send(a).unwrap())
+                        .expect("serve");
+                })
+            };
+            let addr = rx.recv_timeout(Duration::from_secs(10)).expect("bound");
+            let replies = roundtrip(addr, &frames);
+            server.shutdown();
+            net.join().expect("front-end thread");
+            replies
+        } else {
+            let replies: Vec<Reply> = reqs.iter().map(|r| server.call(r.clone())).collect();
+            server.shutdown();
+            replies
         };
-        let addr = rx.recv_timeout(Duration::from_secs(10)).expect("bound");
-        let replies = roundtrip(addr, &frames);
         assert!(
             replies.iter().all(|r| r.status == ReplyStatus::Ok),
-            "front-end event_loop={use_event_loop}: {replies:?}"
+            "over_the_wire={over_the_wire}: {replies:?}"
         );
-        per_frontend.push(replies.iter().map(reply_bits).collect());
-        server.shutdown();
-        net.join().expect("front-end thread");
+        per_path.push(replies.iter().map(reply_bits).collect());
     }
     assert_eq!(
-        per_frontend[0], per_frontend[1],
-        "event-loop replies diverged from thread-per-connection replies"
+        per_path[0], per_path[1],
+        "event-loop reply frames diverged from in-process replies"
     );
 }
